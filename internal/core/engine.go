@@ -21,12 +21,14 @@ type Engine struct {
 	n       int
 	workers []*Protocol
 	gaps    *GapTracker
+	sched   *pragueSchedule // Prague mode only: one schedule for all workers
 }
 
 // NewEngine validates cfg and builds the cluster state. The host is
 // responsible for delivering messages sent through it back into the
 // engine via Deliver/DeliverAck, and for running RunWorker once per
-// worker.
+// worker. cfg is validated here once for the whole cluster, not again
+// per worker.
 func NewEngine(cfg Config, host Host, mon Monitor) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -34,19 +36,24 @@ func NewEngine(cfg Config, host Host, mon Monitor) (*Engine, error) {
 	n := cfg.Graph.N()
 	e := &Engine{cfg: cfg, host: host, mon: mon, n: n}
 	e.gaps = NewGapTrackerFor(mon, cfg.Graph)
+	if cfg.Mode == ModePrague {
+		e.sched = newPragueSchedule(cfg.Prague, n)
+	}
 	e.workers = make([]*Protocol, n)
 	for w := 0; w < n; w++ {
-		var tr *Trace
-		if cfg.Tracers != nil {
-			tr = cfg.Tracers[w]
-		}
-		p, err := NewProtocol(cfg, w, cfg.Trainers[w], mon, &engineRuntime{e: e, w: w}, tr)
-		if err != nil {
-			return nil, err
-		}
-		e.workers[w] = p
+		e.workers[w] = e.newWorker(cfg, w)
 	}
 	return e, nil
+}
+
+// newWorker builds worker w's protocol instance from an already
+// validated cfg.
+func (e *Engine) newWorker(cfg Config, w int) *Protocol {
+	var tr *Trace
+	if cfg.Tracers != nil {
+		tr = cfg.Tracers[w]
+	}
+	return newProtocol(cfg, w, e.cfg.Trainers[w], e.mon, &engineRuntime{e: e, w: w}, tr, e.sched)
 }
 
 // engineRuntime adapts the cluster-wide Host to one worker's Runtime.
@@ -139,14 +146,9 @@ func (e *Engine) RestartWorker(w int) error {
 	cfg := e.cfg
 	cfg.Rejoin = true
 	cfg.Faults = nil
-	var tr *Trace
-	if cfg.Tracers != nil {
-		tr = cfg.Tracers[w]
-	}
-	p, err := NewProtocol(cfg, w, e.cfg.Trainers[w], e.mon, &engineRuntime{e: e, w: w}, tr)
-	if err != nil {
+	if err := cfg.ValidateProtocol(); err != nil {
 		return err
 	}
-	e.workers[w] = p
+	e.workers[w] = e.newWorker(cfg, w)
 	return nil
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"hop/internal/tensor"
 )
@@ -76,7 +77,8 @@ const pragueStepStride = 1_000_003
 // group). The result is a pure function of (seed, step, n, size):
 // every worker computes the same partition locally, and each group is
 // sorted ascending so group renderings — and therefore decision
-// traces — are canonical.
+// traces — are canonical. The groups are capacity-limited windows of
+// one shared permutation, so appending to one never touches another.
 func PragueGroups(seed int64, step, n, size int) [][]int {
 	rng := rand.New(rand.NewSource(seed + int64(step)*pragueStepStride))
 	perm := rng.Perm(n)
@@ -86,7 +88,7 @@ func PragueGroups(seed int64, step, n, size int) [][]int {
 		if end > n {
 			end = n
 		}
-		g := append([]int(nil), perm[i:end]...)
+		g := perm[i:end:end]
 		sort.Ints(g)
 		groups = append(groups, g)
 	}
@@ -117,6 +119,91 @@ func PragueLastShared(seed int64, n, size, maxIter, a, b int) int {
 	return -1
 }
 
+// PragueLastSharedAll returns, for every worker j, the result of
+// PragueLastShared(seed, n, size, maxIter, w, j); entry w itself is -1.
+// One backward pass over the schedule fills every peer at once and
+// stops once all have been found, so the live drain barrier costs one
+// pass over the schedule rather than one per peer.
+func PragueLastSharedAll(seed int64, n, size, maxIter, w int) []int {
+	last := make([]int, n)
+	for j := range last {
+		last[j] = -1
+	}
+	left := n - 1
+	for step := maxIter - 1; step >= 0 && left > 0; step-- {
+		for _, j := range PragueGroupOf(seed, step, n, size, w) {
+			if j != w && last[j] < 0 {
+				last[j] = step
+				left--
+			}
+		}
+	}
+	return last
+}
+
+// pragueMemoSlots is how many steps a pragueSchedule keeps. Step k
+// lives in slot k mod pragueMemoSlots, so workers fewer than that many
+// steps apart never evict each other's partitions; one further behind
+// only recomputes.
+const pragueMemoSlots = 64
+
+// praguePartition is one step's schedule: the PragueGroups result plus
+// the index of each worker's group. It is never mutated once built, so
+// every worker can hold the same value.
+type praguePartition struct {
+	step   int
+	groups [][]int
+	of     []int // of[w] indexes the group containing worker w
+}
+
+// pragueSchedule memoizes PragueGroups by step for one (seed, n, size).
+// The simulator's engine shares one among all of its workers, so a
+// step's partition is built once per cluster step — O(n) — and each
+// worker's lookup is O(1) plus its O(size) group. A miss recomputes
+// from PragueGroups, a pure function of the step, so eviction costs
+// time but can never change a partition, and with it a trace. Safe
+// for concurrent use.
+type pragueSchedule struct {
+	seed    int64
+	n, size int
+
+	mu    sync.Mutex
+	slots [pragueMemoSlots]*praguePartition
+}
+
+func newPragueSchedule(pc *PragueConfig, n int) *pragueSchedule {
+	return &pragueSchedule{seed: pc.Seed, n: n, size: pc.GroupSize}
+}
+
+// at returns step's partition, building it on a miss.
+func (s *pragueSchedule) at(step int) *praguePartition {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slot := &s.slots[step%pragueMemoSlots]
+	if part := *slot; part != nil && part.step == step {
+		return part
+	}
+	part := &praguePartition{
+		step:   step,
+		groups: PragueGroups(s.seed, step, s.n, s.size),
+		of:     make([]int, s.n),
+	}
+	for gi, g := range part.groups {
+		for _, w := range g {
+			part.of[w] = gi
+		}
+	}
+	*slot = part
+	return part
+}
+
+// groupOf returns the group containing worker w at step; the same
+// members, in the same order, as PragueGroupOf.
+func (s *pragueSchedule) groupOf(step, w int) []int {
+	part := s.at(step)
+	return part.groups[part.of[w]]
+}
+
 // iterPrague is one Prague iteration: compute the step's scheduled
 // group locally, send x_k to the live group members, overlap the
 // gradient computation with the quorum Recv, average what arrived, and
@@ -125,16 +212,18 @@ func PragueLastShared(seed int64, n, size, maxIter, a, b int) int {
 func (p *Protocol) iterPrague(k int) {
 	t := p.trainer
 	x := t.Params()
-	pc := p.cfg.Prague
-	group := PragueGroupOf(pc.Seed, k, p.cfg.Graph.N(), pc.GroupSize, p.id)
+	group := p.sched.groupOf(k, p.id)
 	p.trace.group(group, k)
 
 	// 1. Send x_k to the scheduled group (self-loop local, dead
-	// members skipped — p.out is the live membership view).
+	// members skipped). Every member is in gout, so membership in the
+	// live view p.out is exactly "not in deadOut" — an O(1) check; a
+	// nil map reads false when fault tolerance is off. The Run
+	// goroutine is deadOut's only writer, so it reads it unlocked.
 	snap := tensor.Clone(x)
 	p.queue.Enqueue(Update{Params: snap, Iter: k, From: p.id})
 	for _, j := range group {
-		if j != p.id && containsInt(p.out, j) {
+		if j != p.id && !p.deadOut[j] {
 			p.rt.Send(j, Update{Params: snap, Iter: k, From: p.id})
 		}
 	}
@@ -170,7 +259,7 @@ func (p *Protocol) pragueRecv(k int, group []int) []float64 {
 	need := func() int {
 		live := 0
 		for _, j := range group {
-			if j == p.id || containsInt(p.in, j) {
+			if j == p.id || !p.deadIn[j] { // j in p.in, as for p.out above
 				live++
 			}
 		}

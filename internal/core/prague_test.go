@@ -5,7 +5,10 @@ package core
 // partition and determinism properties are pinned directly.
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -108,6 +111,104 @@ func TestPragueLastShared(t *testing.T) {
 	// pairs having a final protocol message.
 	if PragueLastShared(seed, n, size, maxIter, 0, 1) < 0 {
 		t.Error("pair (0,1) never shared a group in 40 steps")
+	}
+}
+
+func TestPragueLastSharedAll(t *testing.T) {
+	const seed, size, maxIter = 513, 3, 30
+	for _, n := range []int{5, 8, 13} {
+		for a := 0; a < n; a++ {
+			last := PragueLastSharedAll(seed, n, size, maxIter, a)
+			if last[a] != -1 {
+				t.Fatalf("n=%d: entry for the worker itself is %d, want -1", n, last[a])
+			}
+			for b := 0; b < n; b++ {
+				if b == a {
+					continue
+				}
+				if want := PragueLastShared(seed, n, size, maxIter, a, b); last[b] != want {
+					t.Fatalf("n=%d: PragueLastSharedAll(%d)[%d] = %d, PragueLastShared says %d",
+						n, a, b, last[b], want)
+				}
+			}
+		}
+	}
+}
+
+// checkPartition asserts that the memoized partition of step equals
+// the PragueGroups / PragueGroupOf reference.
+func checkPartition(t *testing.T, s *pragueSchedule, step int) {
+	t.Helper()
+	part := s.at(step)
+	want := PragueGroups(s.seed, step, s.n, s.size)
+	if part.step != step || !reflect.DeepEqual(part.groups, want) {
+		t.Fatalf("seed=%d n=%d size=%d step=%d: memo %v (step %d), PragueGroups %v",
+			s.seed, s.n, s.size, step, part.groups, part.step, want)
+	}
+	for w := 0; w < s.n; w++ {
+		if got, ref := s.groupOf(step, w), PragueGroupOf(s.seed, step, s.n, s.size, w); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("seed=%d n=%d size=%d step=%d worker %d: memo group %v, PragueGroupOf %v",
+				s.seed, s.n, s.size, step, w, got, ref)
+		}
+	}
+}
+
+// TestPragueScheduleMatchesReference queries the memo for random
+// (seed, n, size) — n often not a multiple of size — at steps in
+// scrambled order spanning several times its capacity, so hits,
+// evictions and recomputes all occur; every answer must equal the pure
+// reference functions.
+func TestPragueScheduleMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 10; trial++ {
+		n := 2 + rng.Intn(32)
+		size := 2 + rng.Intn(n-1)
+		s := newPragueSchedule(&PragueConfig{GroupSize: size, Seed: rng.Int63n(1 << 40)}, n)
+		steps := rng.Perm(3 * pragueMemoSlots)
+		// Revisit some steps: repeated queries hit the memo unless a
+		// step mod-equal to them evicted it in between.
+		steps = append(steps, steps[:pragueMemoSlots/2]...)
+		for _, step := range steps {
+			checkPartition(t, s, step)
+		}
+	}
+}
+
+// TestPragueScheduleConcurrent has many workers query one shared
+// schedule at once — the engine's usage — across more steps than the
+// memo holds. Run under -race it checks the memo's locking; every
+// answer must still equal the reference.
+func TestPragueScheduleConcurrent(t *testing.T) {
+	const n, size, workers = 23, 4, 8
+	s := newPragueSchedule(&PragueConfig{GroupSize: size, Seed: 99}, n)
+	steps := 2*pragueMemoSlots + 5
+	want := make([][][]int, steps) // want[step][w]: w's reference group
+	for step := range want {
+		for w := 0; w < n; w++ {
+			want[step] = append(want[step], PragueGroupOf(s.seed, step, n, size, w))
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 4*steps; i++ {
+				step, w := rng.Intn(steps), rng.Intn(n)
+				if got := s.groupOf(step, w); !reflect.DeepEqual(got, want[step][w]) {
+					errs <- fmt.Sprintf("step %d worker %d: memo group %v, PragueGroupOf %v",
+						step, w, got, want[step][w])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }
 

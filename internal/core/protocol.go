@@ -148,6 +148,11 @@ type Protocol struct {
 	rng   *rand.Rand
 	trace *Trace
 
+	// sched is the Prague group schedule (nil in the Hop modes):
+	// shared by every worker of an Engine, owned by a Protocol built
+	// with NewProtocol.
+	sched *pragueSchedule
+
 	// alloc is rt's buffer recycler when the runtime's ownership rules
 	// allow one (ParamsAllocator); nil otherwise. vecScratch is the
 	// reduce's reusable [][]float64 header block.
@@ -183,6 +188,13 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 	if err := cfg.ValidateProtocol(); err != nil {
 		return nil, err
 	}
+	return newProtocol(cfg, id, t, mon, rt, tr, nil), nil
+}
+
+// newProtocol is NewProtocol for a cfg its caller has already
+// validated. sched is the Prague schedule to share; nil builds one for
+// this protocol alone.
+func newProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, tr *Trace, sched *pragueSchedule) *Protocol {
 	n := cfg.Graph.N()
 	p := &Protocol{
 		cfg:     cfg,
@@ -202,7 +214,7 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 		// Prague groups span the whole cluster regardless of topology
 		// (the graph is a placement/cost substrate only), so the live
 		// neighbor views — which elastic membership filters — cover
-		// every peer.
+		// every peer, and in and out are the same set.
 		peers := make([]int, 0, n-1)
 		for j := 0; j < n; j++ {
 			if j != id {
@@ -210,11 +222,19 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 			}
 		}
 		p.in, p.out = peers, peers
+		p.gnbrs = peers
+		if sched == nil {
+			sched = newPragueSchedule(cfg.Prague, n)
+		}
+		p.sched = sched
+	} else {
+		p.gnbrs = append(append(make([]int, 0, len(p.in)+len(p.out)), p.in...), p.out...)
+		p.gnbrs = dedupInts(p.gnbrs)
 	}
 	p.gin, p.gout = p.in, p.out
-	p.gnbrs = append(append(make([]int, 0, len(p.gin)+len(p.gout)), p.gin...), p.gout...)
-	p.gnbrs = dedupInts(p.gnbrs)
-	p.iterRecv = make(map[int]int, len(p.gin))
+	// No size hint: under Prague gin is every peer, yet iterRecv stays
+	// empty (staleness and rejoin do not compose with it).
+	p.iterRecv = map[int]int{}
 	if cfg.MaxIG > 0 {
 		p.tokens = make(map[int]*TokenQueue, len(p.out))
 		for _, j := range p.out {
@@ -232,7 +252,7 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 		p.joinFirst = make(map[int]int)
 		p.joinLogged = make(map[int]bool)
 	}
-	return p, nil
+	return p
 }
 
 // dedupInts removes duplicates preserving first-occurrence order.

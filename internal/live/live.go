@@ -777,9 +777,8 @@ func (w *Worker) WaitPeersDone(timeout time.Duration) bool {
 		// the deterministic schedule. Peers never scheduled together
 		// exchange nothing.
 		pc := w.cfg.Prague
-		n := w.cfg.Graph.N()
-		for _, j := range w.cfg.protocolPeers() {
-			if last := core.PragueLastShared(pc.Seed, n, pc.GroupSize, w.cfg.MaxIter, w.cfg.ID, j); last >= 0 {
+		for j, last := range core.PragueLastSharedAll(pc.Seed, w.cfg.Graph.N(), pc.GroupSize, w.cfg.MaxIter, w.cfg.ID) {
+			if last >= 0 {
 				need[j] = last
 			}
 		}

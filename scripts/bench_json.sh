@@ -5,15 +5,20 @@
 # hop-bench/v1 trajectory schema: a flat array of {bench, ns_per_op,
 # allocs_per_op, bytes_per_op, mb_per_s, extra{...}} objects plus a
 # header record with host metadata. Custom go-bench metrics (updates/s,
-# steps/s, wireB/update, ...) land in extra{}.
+# steps/s, wireB/update, ...) land in extra{}. The header's cpus is the
+# host's online CPU count and gomaxprocs the GOMAXPROCS the benchmarks
+# ran at (go test's -N name suffix; no suffix means 1).
 bench_to_json() {
     awk -v out="$2" '
 BEGIN {
     n = 0
+    procs = 1
 }
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^Benchmark/ {
-    name = $1; sub(/-[0-9]+$/, "", name); sub(/^Benchmark/, "", name)
+    name = $1
+    if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
+    sub(/-[0-9]+$/, "", name); sub(/^Benchmark/, "", name)
     ns = ""; bop = ""; aop = ""; mbs = ""; extra = ""
     for (i = 2; i <= NF; i++) {
         if ($(i) == "ns/op")     ns  = $(i-1)
@@ -41,7 +46,7 @@ END {
     cmd = "go env GOOS GOARCH"; cmd | getline goos; cmd | getline goarch; close(cmd)
     cmd = "getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0"; cmd | getline ncpu; close(cmd)
     printf "  \"timestamp\": \"%s\",\n", ts >> out
-    printf "  \"goos\": \"%s\", \"goarch\": \"%s\", \"cpus\": %s,\n", goos, goarch, ncpu >> out
+    printf "  \"goos\": \"%s\", \"goarch\": \"%s\", \"cpus\": %s, \"gomaxprocs\": %s,\n", goos, goarch, ncpu, procs >> out
     printf "  \"cpu\": \"%s\",\n", cpu >> out
     printf "  \"results\": [\n" >> out
     for (i = 0; i < n; i++) printf "%s%s\n", recs[i], (i < n-1 ? "," : "") >> out
